@@ -11,6 +11,12 @@ Pipeline for a target source:
 4. hand the per-tag predictions to the constraint handler, which returns
    the least-cost 1-1 mapping (or argmax when no handler is configured).
 
+Steps 1-3 are the predict stage and step 4 the constrain stage;
+:func:`match_source` runs both, :func:`constrain_source` re-runs step 4
+alone on an earlier result's :class:`SourcePrediction` — the §4.3
+feedback loop, where a correction changes the constraints and never the
+predictions.
+
 Throughput engineering (the high-traffic ROADMAP goal):
 
 * base-learner prediction fans out across a :class:`ParallelExecutor`
@@ -76,6 +82,29 @@ from .schema import SourceSchema
 
 
 @dataclass
+class SourcePrediction:
+    """The predict stage's product for one source (steps 1-3 above).
+
+    Everything the constrain stage reads, so a user correction (§4.3)
+    can re-run the constraint handler alone on it — see
+    :func:`constrain_source`.
+    """
+
+    #: The source schema and its extracted instance columns (with the
+    #: structure pass's child labels filled in).
+    context: MatchContext
+    #: Each column's rows in the flat per-learner score matrices.
+    slices: dict[str, slice]
+    scores_by_learner: dict[str, np.ndarray]
+    #: The converter's per-tag rows before ``score_filter``.
+    converted_scores: dict[str, np.ndarray]
+    #: The per-tag rows the constraint handler searches over.
+    tag_scores: dict[str, np.ndarray]
+    #: The meta-learner that combined the learners' scores.
+    meta: StackingMetaLearner
+
+
+@dataclass
 class MatchResult:
     """Everything the matching phase produced for one source."""
 
@@ -100,6 +129,9 @@ class MatchResult:
     #: True when the constraint search hit its deadline and returned
     #: the best mapping found so far rather than a proven optimum.
     anytime: bool = False
+    #: The predict stage's output this mapping was searched from;
+    #: ``None`` on results built by hand.
+    prediction: SourcePrediction | None = None
 
     def prediction_for(self, tag: str) -> Prediction:
         """The converter's prediction for one source tag."""
@@ -131,6 +163,14 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
                  policy: ResiliencePolicy | None = None,
                  checkpoint=None) -> MatchResult:
     """Run the full matching pipeline; see module docstring.
+
+    The pipeline is two stages in sequence: the predict stage (extract,
+    learner prediction with structure passes, ``score_filter``) builds
+    a :class:`SourcePrediction`, and the constrain stage (the
+    ``constraints.search`` fault site, the constraint handler or argmax,
+    the mapping checkpoint, quality records, degradation) turns it into
+    a mapping. :func:`constrain_source` runs the second stage alone on
+    an earlier result's prediction.
 
     ``score_filter(tag_scores, columns) -> tag_scores`` runs between the
     prediction converter and the constraint handler — the hook the §7
@@ -169,107 +209,187 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
     profile = StageProfile()
     cache_before = featurize.stats.snapshot()
     deadline = policy.start_deadline() if policy is not None else None
-
-    events = obs.events
     with obs.trace.span("match") as match_span:
-        events.emit(EV_STAGE_START, stage="extract")
-        # Extraction always runs — the extract checkpoint persists
-        # provenance, not payload, because columns re-derive from the
-        # durable inputs faster than a serialized form loads (see
-        # repro.runtime.checkpoint). A resumed attempt skips only the
-        # marker re-commit.
-        with profile.stage("extract"), obs.trace.span("extract"):
-            columns = extract_columns(schema, list(listings),
-                                      max_instances_per_tag)
-        if checkpoint is not None and checkpoint.save_columns(columns):
+        prediction = _predict_stage(
+            schema, listings, learners, meta, converter, space,
+            max_instances_per_tag, structure_passes, score_filter,
+            executor, incremental_structure, obs, policy, checkpoint,
+            profile, match_span)
+        mapping, quality = _constrain_stage(
+            prediction, converter, handler, space, extra_constraints,
+            executor, obs, policy, checkpoint, profile, deadline)
+    return _finish(prediction, mapping, quality, space, profile, obs,
+                   policy, cache_before)
+
+
+def constrain_source(prediction: SourcePrediction,
+                     converter: PredictionConverter,
+                     handler: ConstraintHandler | None,
+                     space: LabelSpace,
+                     extra_constraints: Sequence[Constraint] = (),
+                     executor: ParallelExecutor | None = None,
+                     policy: ResiliencePolicy | None = None
+                     ) -> MatchResult:
+    """The constrain stage alone, on an earlier run's ``prediction``.
+
+    This is the §4.3 feedback step: a user correction becomes one of
+    ``extra_constraints`` and only the constraint handler re-runs; the
+    learners never see it. The result equals a full
+    :func:`match_source` of the same source under the same constraints
+    — same mapping, bitwise the same ``tag_scores``, same search — at
+    the cost of the search alone.
+
+    Only the constrain stage's fault site (``constraints.search``) and
+    the policy deadline apply; learner faults fired during the
+    prediction stay in the policy's accumulated degradation report.
+    No checkpoint is taken, and no trace, metrics or quality records
+    are recorded.
+    """
+    executor = resolve(executor)
+    obs = resolve_observer(None)
+    profile = StageProfile()
+    cache_before = featurize.stats.snapshot()
+    deadline = policy.start_deadline() if policy is not None else None
+    mapping, quality = _constrain_stage(
+        prediction, converter, handler, space, extra_constraints,
+        executor, obs, policy, None, profile, deadline)
+    return _finish(prediction, mapping, quality, space, profile, obs,
+                   policy, cache_before)
+
+
+def _predict_stage(schema: SourceSchema, listings: Sequence[Element],
+                   learners: list[BaseLearner],
+                   meta: StackingMetaLearner,
+                   converter: PredictionConverter, space: LabelSpace,
+                   max_instances_per_tag: int | None,
+                   structure_passes: int, score_filter,
+                   executor: ParallelExecutor, incremental: bool,
+                   obs: Observer, policy: ResiliencePolicy | None,
+                   checkpoint, profile: StageProfile,
+                   match_span) -> SourcePrediction:
+    """Extract, predict (with structure passes) and filter."""
+    events = obs.events
+    events.emit(EV_STAGE_START, stage="extract")
+    # Extraction always runs — the extract checkpoint persists
+    # provenance, not payload, because columns re-derive from the
+    # durable inputs faster than a serialized form loads (see
+    # repro.runtime.checkpoint). A resumed attempt skips only the
+    # marker re-commit.
+    with profile.stage("extract"), obs.trace.span("extract"):
+        columns = extract_columns(schema, list(listings),
+                                  max_instances_per_tag)
+    if checkpoint is not None and checkpoint.save_columns(columns):
+        obs.metrics.counter(M_CKPT_WRITES).inc()
+        events.emit(EV_CHECKPOINT, stage="extract")
+    events.emit(EV_STAGE_END, stage="extract",
+                elapsed_seconds=profile.seconds("extract"))
+
+    # Flatten instances so each learner predicts one batch.
+    tags = list(columns)
+    flat: list[ElementInstance] = []
+    slices: dict[str, slice] = {}
+    column_sizes = obs.metrics.histogram(M_COLUMN_SIZE, SIZE_BUCKETS)
+    for tag in tags:
+        begin = len(flat)
+        flat.extend(columns[tag].instances)
+        slices[tag] = slice(begin, len(flat))
+        column_sizes.observe(len(columns[tag].instances))
+    profile.count("instances", len(flat))
+    profile.count("tags", len(tags))
+    obs.metrics.counter(M_INSTANCES).inc(len(flat))
+    obs.metrics.counter(M_TAGS).inc(len(tags))
+    match_span.set_attribute("tags", len(tags))
+    match_span.set_attribute("instances", len(flat))
+
+    events.emit(EV_STAGE_START, stage="predict")
+    with profile.stage("predict"), obs.trace.span("predict") \
+            as predict_span:
+        scores_by_learner, tag_scores = _predict_tags(
+            flat, slices, columns, learners, meta, converter, space,
+            structure_passes, executor, profile, incremental, obs,
+            predict_span.span_id, policy, checkpoint)
+        converted_scores = tag_scores
+        if score_filter is not None:
+            with profile.stage("predict.score_filter"), \
+                    obs.trace.span("score_filter"):
+                tag_scores = score_filter(tag_scores, columns)
+    predict_elapsed = profile.seconds("predict")
+    events.emit(EV_STAGE_END, stage="predict",
+                elapsed_seconds=predict_elapsed, items=len(flat),
+                items_per_second=(len(flat) / predict_elapsed
+                                  if predict_elapsed else 0.0))
+    return SourcePrediction(MatchContext(schema, columns), slices,
+                            scores_by_learner, converted_scores,
+                            tag_scores, meta)
+
+
+def _constrain_stage(prediction: SourcePrediction,
+                     converter: PredictionConverter,
+                     handler: ConstraintHandler | None,
+                     space: LabelSpace,
+                     extra_constraints: Sequence[Constraint],
+                     executor: ParallelExecutor, obs: Observer,
+                     policy: ResiliencePolicy | None, checkpoint,
+                     profile: StageProfile, deadline: Deadline | None
+                     ) -> tuple[Mapping, list[QualityRecord]]:
+    """Search (or argmax) for the mapping, then its quality records."""
+    events = obs.events
+    tag_scores = prediction.tag_scores
+    tags = list(prediction.context.columns)
+    if policy is not None:
+        try:
+            policy.fire(SITE_SEARCH_ROOT, "search")
+        except FaultInjected:
+            # The documented semantics of this site: force the
+            # search onto its anytime best-so-far path.
+            deadline = Deadline(0.0)
+    events.emit(EV_STAGE_START, stage="constrain")
+    with profile.stage("constrain"), obs.trace.span("constrain"):
+        saved_mapping = checkpoint.load_mapping() \
+            if checkpoint is not None else None
+        if saved_mapping is not None:
+            mapping = Mapping(saved_mapping)
+            events.emit(EV_RESUME, stage="constrain")
+            obs.metrics.counter(M_CKPT_STAGES_RESUMED).inc()
+        elif handler is None:
+            mapping = Mapping({
+                tag: space.label_at(int(np.argmax(row)))
+                for tag, row in tag_scores.items()})
+        else:
+            mapping = handler.find_mapping(
+                tag_scores, space, prediction.context, extra_constraints,
+                executor=executor, profile=profile, observer=obs,
+                deadline=deadline,
+                report=policy.report if policy is not None else None,
+                warm_start=checkpoint.load_incumbent()
+                if checkpoint is not None else None,
+                snapshot=checkpoint.save_incumbent
+                if checkpoint is not None else None)
+        if saved_mapping is None and checkpoint is not None \
+                and checkpoint.save_mapping(
+                    {tag: mapping.label_of(tag) for tag in mapping}):
             obs.metrics.counter(M_CKPT_WRITES).inc()
-            events.emit(EV_CHECKPOINT, stage="extract")
-        events.emit(EV_STAGE_END, stage="extract",
-                    elapsed_seconds=profile.seconds("extract"))
+            events.emit(EV_CHECKPOINT, stage="constrain")
+    events.emit(EV_STAGE_END, stage="constrain",
+                elapsed_seconds=profile.seconds("constrain"),
+                items=len(tags))
 
-        # Flatten instances so each learner predicts one batch.
-        tags = list(columns)
-        flat: list[ElementInstance] = []
-        slices: dict[str, slice] = {}
-        column_sizes = obs.metrics.histogram(M_COLUMN_SIZE, SIZE_BUCKETS)
-        for tag in tags:
-            begin = len(flat)
-            flat.extend(columns[tag].instances)
-            slices[tag] = slice(begin, len(flat))
-            column_sizes.observe(len(columns[tag].instances))
-        profile.count("instances", len(flat))
-        profile.count("tags", len(tags))
-        obs.metrics.counter(M_INSTANCES).inc(len(flat))
-        obs.metrics.counter(M_TAGS).inc(len(tags))
-        match_span.set_attribute("tags", len(tags))
-        match_span.set_attribute("instances", len(flat))
+    quality: list[QualityRecord] = []
+    if obs.collect_quality:
+        with obs.trace.span("quality"):
+            quality = build_quality_records(
+                tags, prediction.slices,
+                prediction.scores_by_learner, converter, prediction.meta,
+                space, prediction.converted_scores, mapping)
+    return mapping, quality
 
-        events.emit(EV_STAGE_START, stage="predict")
-        with profile.stage("predict"), obs.trace.span("predict") \
-                as predict_span:
-            scores_by_learner, tag_scores = _predict_tags(
-                flat, slices, columns, learners, meta, converter, space,
-                structure_passes, executor, profile,
-                incremental_structure, obs, predict_span.span_id,
-                policy, checkpoint)
-            converted_scores = tag_scores
-            if score_filter is not None:
-                with profile.stage("predict.score_filter"), \
-                        obs.trace.span("score_filter"):
-                    tag_scores = score_filter(tag_scores, columns)
-        predict_elapsed = profile.seconds("predict")
-        events.emit(EV_STAGE_END, stage="predict",
-                    elapsed_seconds=predict_elapsed, items=len(flat),
-                    items_per_second=(len(flat) / predict_elapsed
-                                      if predict_elapsed else 0.0))
 
-        ctx = MatchContext(schema, columns)
-        if policy is not None:
-            try:
-                policy.fire(SITE_SEARCH_ROOT, "search")
-            except FaultInjected:
-                # The documented semantics of this site: force the
-                # search onto its anytime best-so-far path.
-                deadline = Deadline(0.0)
-        events.emit(EV_STAGE_START, stage="constrain")
-        with profile.stage("constrain"), obs.trace.span("constrain"):
-            saved_mapping = checkpoint.load_mapping() \
-                if checkpoint is not None else None
-            if saved_mapping is not None:
-                mapping = Mapping(saved_mapping)
-                events.emit(EV_RESUME, stage="constrain")
-                obs.metrics.counter(M_CKPT_STAGES_RESUMED).inc()
-            elif handler is None:
-                mapping = Mapping({
-                    tag: space.label_at(int(np.argmax(row)))
-                    for tag, row in tag_scores.items()})
-            else:
-                mapping = handler.find_mapping(
-                    tag_scores, space, ctx, extra_constraints,
-                    executor=executor, profile=profile, observer=obs,
-                    deadline=deadline,
-                    report=policy.report if policy is not None
-                    else None,
-                    warm_start=checkpoint.load_incumbent()
-                    if checkpoint is not None else None,
-                    snapshot=checkpoint.save_incumbent
-                    if checkpoint is not None else None)
-            if saved_mapping is None and checkpoint is not None \
-                    and checkpoint.save_mapping(
-                        {tag: mapping.label_of(tag) for tag in mapping}):
-                obs.metrics.counter(M_CKPT_WRITES).inc()
-                events.emit(EV_CHECKPOINT, stage="constrain")
-        events.emit(EV_STAGE_END, stage="constrain",
-                    elapsed_seconds=profile.seconds("constrain"),
-                    items=len(tags))
-
-        quality: list[QualityRecord] = []
-        if obs.collect_quality:
-            with obs.trace.span("quality"):
-                quality = build_quality_records(
-                    tags, slices, scores_by_learner, converter, meta,
-                    space, converted_scores, mapping)
-
+def _finish(prediction: SourcePrediction, mapping: Mapping,
+            quality: list[QualityRecord], space: LabelSpace,
+            profile: StageProfile, obs: Observer,
+            policy: ResiliencePolicy | None,
+            cache_before: tuple[int, int]) -> MatchResult:
+    """Cache counters, degradation account and the result record."""
     hits, misses = featurize.stats.snapshot()
     hits -= cache_before[0]
     misses -= cache_before[1]
@@ -289,13 +409,16 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
         # Emitted only when non-zero, so a clean run's metric set (and
         # therefore its report) is byte-identical to a policy-free run.
         _emit_degradation_metrics(degradation, obs)
-        events.emit(EV_DEGRADATION,
-                    reason=_degradation_reason(degradation))
-    return MatchResult(mapping, tag_scores, space, columns, ctx, timings,
+        obs.events.emit(EV_DEGRADATION,
+                        reason=_degradation_reason(degradation))
+    ctx = prediction.context
+    return MatchResult(mapping, prediction.tag_scores, space,
+                       ctx.columns, ctx, timings,
                        profile, quality,
                        degradation=degradation,
                        anytime=degradation.anytime
-                       if degradation is not None else False)
+                       if degradation is not None else False,
+                       prediction=prediction)
 
 
 def _degradation_reason(degradation: DegradationReport) -> str:

@@ -22,7 +22,7 @@ from ..xmlio import Element
 from .converter import PredictionConverter
 from .labels import LabelSpace
 from .mapping import Mapping
-from .matching import MatchResult, match_source
+from .matching import MatchResult, constrain_source, match_source
 from .parallel import ParallelExecutor
 from .pruning import TypePruner
 from .schema import MediatedSchema, SourceSchema
@@ -313,6 +313,32 @@ class LSDSystem:
             executor=self.executor, observer=observer,
             policy=getattr(self, "policy", None),
             checkpoint=checkpoint)
+
+    def rematch(self, previous: MatchResult,
+                extra_constraints: Sequence[Constraint] = ()
+                ) -> MatchResult:
+        """Re-run only the constraint handler on ``previous``'s
+        predictions, under new ``extra_constraints`` (§4.3).
+
+        The result equals ``match(schema, listings, extra_constraints)``
+        on the listings ``previous`` was matched from, without
+        re-extracting or re-predicting them. Uses this system's handler,
+        executor and policy; see
+        :func:`~repro.core.matching.constrain_source`. A prediction made
+        before the system was last (re)trained is refused: match the
+        source again instead.
+        """
+        prediction = previous.prediction
+        if prediction is None:
+            raise ValueError("result carries no prediction to re-use")
+        if prediction.meta is not self.meta:
+            raise RuntimeError(
+                "the system was retrained after this source was "
+                "matched; call match() again")
+        return constrain_source(
+            prediction, self.converter, self.handler, self.space,
+            extra_constraints, executor=self.executor,
+            policy=getattr(self, "policy", None))
 
     def confirm_and_learn(self, schema: SourceSchema | str,
                           listings: Sequence[Element],

@@ -6,6 +6,11 @@ reviewed in decreasing score order; on the first incorrect label the user
 supplies the correct one and LSD re-runs the constraint handler; the loop
 repeats until every tag is matched correctly. The measurement is how many
 corrections were needed.
+
+Predictions are computed once per session, when it opens; each correction
+re-runs only the handler on them (see :mod:`repro.core.feedback`). The
+system must not be retrained while a session is open — a retrained system
+needs a new session.
 """
 
 from __future__ import annotations

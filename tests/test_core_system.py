@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import (FeedbackSession, LSDSystem, Mapping,
                         MediatedSchema, OTHER, SourceSchema)
-from repro.constraints import FrequencyConstraint
+from repro.constraints import AssignmentConstraint, FrequencyConstraint
 from repro.learners import (ContentMatcher, NaiveBayesLearner, NameMatcher,
                             XMLLearner)
 from repro.xmlio import parse_fragments
@@ -314,3 +314,119 @@ class TestFeedbackSession:
             session.assert_match("nope", "ADDRESS")
         with pytest.raises(KeyError):
             session.assert_match("area", "NOT-A-LABEL")
+        with pytest.raises(KeyError):
+            session.reject_match("nope", "ADDRESS")
+        with pytest.raises(KeyError):
+            session.reject_match("area", "NOT-A-LABEL")
+        assert session.corrections == 0
+        assert session.feedback == []
+
+    def test_rematch_refuses_a_prediction_from_before_retraining(self):
+        system = trained_system()
+        session = FeedbackSession(system, GREATHOMES_SCHEMA,
+                                  GREATHOMES_LISTINGS)
+        system.train()
+        with pytest.raises(RuntimeError):
+            session.assert_match("area", "ADDRESS")
+
+
+def assert_equals_fresh_match(system, session) -> dict:
+    """``session.result`` equals a full match under the session's
+    constraints: same mapping, bitwise the same scores, the same search
+    (``handler.last_stats``, including its ``anytime`` flag). Returns
+    the session's search stats."""
+    result = session.result
+    stats = dict(system.handler.last_stats)
+    fresh = system.match(
+        session.schema, session.listings,
+        extra_constraints=[*session.base_constraints, *session.feedback])
+    assert fresh.mapping == result.mapping
+    assert list(fresh.tag_scores) == list(result.tag_scores)
+    for tag, row in fresh.tag_scores.items():
+        assert np.array_equal(result.tag_scores[tag], row)
+    assert system.handler.last_stats == stats
+    assert fresh.anytime == result.anytime
+    return stats
+
+
+def first_wrong(session, truth) -> str | None:
+    return next((tag for tag in session.review_order()
+                 if session.mapping[tag] != truth.get(tag, OTHER)), None)
+
+
+@pytest.fixture(scope="module")
+def assessor_feed_system():
+    """Real Estate II trained on the split that holds out
+    ``assessor-feed.gov``, whose searches hit the expansion budget."""
+    from repro.datasets import load_domain
+    from repro.evaluation.configurations import SystemConfig, build_system
+    from repro.evaluation.experiment import train_test_splits
+
+    domain = load_domain("real_estate_2", seed=0)
+    train, test = train_test_splits(domain.sources)[2]
+    system = build_system(domain, SystemConfig("complete"),
+                          max_instances_per_tag=30, seed=0)
+    for source in train:
+        system.add_training_source(source.schema, source.listings(30),
+                                   source.mapping)
+    system.train()
+    (source,) = [s for s in test if s.name == "assessor-feed.gov"]
+    return system, source
+
+
+class TestFeedbackReusesPredictions:
+    """Corrections re-run only the constraint handler on the opening
+    match's predictions (§4.3), and give what a full re-match gives."""
+
+    def test_greathomes_session_equals_fresh_matches(self, system):
+        # The fixture's learners get greathomes.com right outright, so
+        # this user intends a mapping with two labels swapped; reaching
+        # it takes a rejection and assertions that cascade through the
+        # at-most-one constraints.
+        truth = Mapping({**dict(GREATHOMES_TRUTH.items()),
+                         "area": "DESCRIPTION",
+                         "extra-info": "ADDRESS"})
+        session = FeedbackSession(
+            system, GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
+            extra_constraints=[AssignmentConstraint("person",
+                                                    "CONTACT-INFO")])
+        session.reject_match("area", "ADDRESS")
+        assert_equals_fresh_match(system, session)
+        while (wrong := first_wrong(session, truth)) is not None:
+            session.assert_match(wrong, truth[wrong])
+            assert_equals_fresh_match(system, session)
+        assert session.corrections >= 2
+        assert session.mapping.accuracy_against(truth) == 1.0
+
+    def test_corrections_never_repredict(self, system, monkeypatch):
+        session = FeedbackSession(system, GREATHOMES_SCHEMA,
+                                  GREATHOMES_LISTINGS)
+        calls = []
+        for learner in system.active_learners:
+            original = learner.predict_scores
+            monkeypatch.setattr(
+                learner, "predict_scores",
+                lambda batch, original=original:
+                calls.append(len(batch)) or original(batch))
+        session.reject_match("area", "ADDRESS")
+        session.assert_match("area", OTHER)
+        assert calls == []
+        assert session.result.prediction is not None
+        assert session.result.tag_scores is \
+            session.result.prediction.tag_scores
+
+    def test_budget_capped_session_equals_fresh_matches(
+            self, assessor_feed_system):
+        system, source = assessor_feed_system
+        session = FeedbackSession(system, source.schema,
+                                  source.listings(30))
+        anytime = [system.handler.last_stats.get("anytime", False)]
+        while (wrong := first_wrong(session, source.mapping)) is not None:
+            session.assert_match(wrong, source.mapping.get(wrong, OTHER))
+            stats = assert_equals_fresh_match(system, session)
+            anytime.append(stats.get("anytime", False))
+        assert session.mapping.accuracy_against(
+            source.mapping, matchable_only=False) == 1.0
+        # The opening search and at least one correction's search were
+        # cut off at the expansion budget.
+        assert anytime[0] and any(anytime[1:])

@@ -373,3 +373,75 @@ class TestCliErrors:
         ])
         assert code == 2
         assert "unknown fault site" in capsys.readouterr().err
+
+
+class TestFeedbackCorrections:
+    """A feedback correction re-runs only the constrain stage on the
+    opening match's predictions, so it fires only that stage's fault
+    site (``constraints.search``) and the policy deadline; learner
+    faults fire on the opening match alone. The degradation report
+    accumulates on the policy, so every correction still reports what
+    the opening match absorbed."""
+
+    @staticmethod
+    def corrected(trained, policy, before_correction=None):
+        """Open a session under ``policy``, then assert the true label
+        of the first two tags in review order; returns the opening
+        result, its degradation report as it stood at opening, and the
+        two correction results."""
+        from repro.core import FeedbackSession, OTHER
+
+        system, domain = trained
+        source = domain.sources[2]
+        system.policy = policy
+        try:
+            session = FeedbackSession(system, source.schema,
+                                      source.listings(N_LISTINGS))
+            opening = session.result
+            opening_report = opening.degradation.as_dict()
+            if before_correction is not None:
+                before_correction()
+            results = [session.assert_match(
+                tag, source.mapping.get(tag, OTHER))
+                for tag in session.review_order()[:2]]
+        finally:
+            system.policy = None
+        return opening, opening_report, results
+
+    def test_quarantine_is_reported_on_every_correction(self, trained):
+        policy = ResiliencePolicy(fault_plan=plan_of(
+            {"site": "learner.predict", "key": "name_matcher",
+             "action": "raise", "count": 99}))
+        _, opening_report, results = self.corrected(trained, policy)
+        assert [event["learner"] for event
+                in opening_report["quarantined"]] == ["name_matcher"]
+        fired = opening_report["fired_faults"]
+        for result in results:
+            degradation = result.degradation
+            assert degradation.quarantined_learners == ["name_matcher"]
+            # No correction re-predicted: the learner fault never fired
+            # again, so there is still exactly one quarantine.
+            assert len(degradation.quarantines) == 1
+            assert degradation.as_dict()["fired_faults"] == fired
+            assert "name_matcher" not in \
+                result.prediction.scores_by_learner
+
+    def test_search_fault_on_a_correction_is_anytime(self, trained):
+        policy = ResiliencePolicy(fault_plan=plan_of(
+            {"site": "constraints.search", "key": "search",
+             "at_hit": 2}))
+        opening, _, results = self.corrected(trained, policy)
+        assert not opening.anytime
+        assert results[0].anytime
+        assert results[0].degradation.anytime
+
+    def test_expired_deadline_on_a_correction_is_anytime(self, trained):
+        policy = ResiliencePolicy()
+
+        def expire():
+            policy.deadline = 0.0
+
+        opening, _, results = self.corrected(trained, policy, expire)
+        assert not opening.anytime
+        assert results[0].anytime
+        assert results[0].degradation.anytime
