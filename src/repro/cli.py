@@ -15,16 +15,13 @@ Five subcommands::
 
     python -m repro match --model model.lsd --schema s.dtd \\
         --listings l.xml [--feedback tag=LABEL ...] [--out mapping.txt] \\
-        [--workers N] [--backend thread|process|serial] \\
-        [--search bnb|astar] [--profile] \\
+        [--workers N] [--search bnb|astar] [--profile] \\
         [--trace-out trace.jsonl] [--report-out report.json]
         Propose 1-1 mappings for a new source; feedback constraints pin
-        or re-run exactly as in §4.3. ``--workers`` fans learner
-        prediction and the constraint search's root-split out over N
-        workers (identical results at any count); ``--backend process``
-        runs the prediction fan-out on a persistent worker-process pool
-        sharing the model zero-copy — the backend that actually beats
-        serial on CPU-bound matching; ``--search`` picks the
+        or re-run exactly as in §4.3. ``--workers N`` above 1 runs
+        learner prediction on N worker processes sharing the model
+        zero-copy (identical results at any count; training and the
+        constraint search stay serial); ``--search`` picks the
         constraint strategy (incremental branch-and-bound by default);
         ``--profile`` prints the per-stage timing table; ``--trace-out``
         and ``--report-out`` turn on the observability layer and write
@@ -152,10 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="where to save the trained model")
     train.add_argument("--max-instances", type=int, default=100,
                        help="instance cap per tag (default 100)")
-    train.add_argument("--workers", type=int, default=1,
-                       help="worker threads for cross-validation fan-out "
-                            "(default 1 = serial; results are identical "
-                            "at any worker count)")
     train.add_argument("--trace-out", type=Path,
                        help="write the training trace (JSONL, one span "
                             "per line) to this file")
@@ -176,20 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
     match.add_argument("--out", type=Path,
                        help="write the mapping to this file")
     match.add_argument("--workers", type=int, default=1,
-                       help="workers for learner prediction (default 1 "
-                            "= serial; results are identical at any "
-                            "worker count)")
-    match.add_argument("--backend", choices=["serial", "thread",
-                                             "process"],
-                       default="thread",
-                       help="execution backend for the prediction "
-                            "fan-out: 'thread' (default; bounded "
-                            "overhead but GIL-limited), 'process' "
-                            "(persistent worker processes sharing the "
-                            "model zero-copy — the one that beats "
-                            "serial on CPU-bound matching), or "
-                            "'serial'. Outputs are byte-identical "
-                            "across backends")
+                       help="worker processes for learner prediction "
+                            "(default 1 = serial; results are "
+                            "identical at any worker count)")
     match.add_argument("--search", choices=["bnb", "astar"],
                        default="bnb",
                        help="constraint-handler strategy: incremental "
@@ -510,7 +492,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         system = LSDSystem(mediated, default_learners(),
                            constraints=constraints,
                            max_instances_per_tag=args.max_instances,
-                           workers=args.workers,
                            policy=policy)
         for source_dir in args.train:
             schema, listings, mapping = _read_source_dir(source_dir,
@@ -630,7 +611,6 @@ def _run_match(args: argparse.Namespace,
         with obs.trace.span("load_model"):
             system = _load_model(args.model)
         system.workers = args.workers
-        system.backend = args.backend
         system.policy = policy
         if system.handler is not None:
             system.handler.search = args.search
@@ -687,7 +667,7 @@ def _run_match(args: argparse.Namespace,
                                   observer=observer,
                                   checkpoint=checkpoint)
         finally:
-            # Process-backend hygiene: workers and the shared-memory
+            # Pool hygiene: worker processes and the shared-memory
             # segment never outlive the command. The checkpoint closes
             # first so any absorbed write losses reach the degradation
             # report before it is rendered below.
@@ -733,11 +713,8 @@ def _run_match(args: argparse.Namespace,
                   "search": args.search,
                   "top": args.top,
                   "feedback": len(feedback)}
-        # Non-default settings only: a plain strict thread-backend
-        # run's report stays byte-identical to builds without these
-        # flags.
-        if args.backend != "thread":
-            config["backend"] = args.backend
+        # Non-default settings only: a plain strict run's report stays
+        # byte-identical to builds without these flags.
         if args.input_mode != "strict":
             config["input_mode"] = args.input_mode
         if args.fault_plan:
@@ -768,14 +745,17 @@ def _run_match(args: argparse.Namespace,
     if args.ledger_out:
         from .observability import ledger as run_ledger
 
+        # The ledger's backend field follows from the worker count;
+        # entries keep the shape older ledgers have.
+        backend = "process" if args.workers > 1 else "serial"
         entry = run_ledger.build_entry(
             label=args.ledger_label,
             fingerprint=fingerprint,
             created=time.time(),  # lsd: ignore[wallclock]
             config={"workers": args.workers,
-                    "backend": args.backend,
+                    "backend": backend,
                     "search": args.search},
-            host=run_ledger.host_info(backend=args.backend,
+            host=run_ledger.host_info(backend=backend,
                                       workers=args.workers),
             timings={**result.timings, "total": total_seconds},
             metrics={"instances": obs.metrics.counter(

@@ -28,16 +28,14 @@ Engine (the incremental rebuild):
   lower bounds that fold into the branch-and-bound heuristic, so
   subtrees whose soft violations alone exceed the incumbent are cut
   mid-descent instead of surviving to the leaves;
-* **parallel root-split** — the first-level candidate labels are
-  partitioned round-robin across :class:`~repro.core.parallel.
-  ParallelExecutor` workers sharing one incumbent bound. The incumbent
-  orders complete assignments by ``(cost, path)`` where ``path`` is the
-  per-level candidate-index tuple, and pruning spares equal-cost
-  subtrees that could still win that tie-break, so the returned mapping
-  is the *lexicographically first minimum-cost* assignment — byte-
-  identical for any worker count (provided the expansion budget is not
-  exhausted; with threads racing a shared budget the anytime cut-off
-  point is scheduling-dependent);
+* **deterministic tie-break** — one serial depth-first search. The
+  incumbent orders complete assignments by ``(cost, path)`` where
+  ``path`` is the per-level candidate-index tuple, and pruning spares
+  equal-cost subtrees that could still win that tie-break, so the
+  returned mapping is the *lexicographically first minimum-cost*
+  assignment. The search never depends on the worker count, so its
+  mapping, its anytime cut-off point and every counter in
+  ``last_stats`` are identical at any ``--workers``;
 * **instrumentation** — nodes expanded and prunes by reason (score
   bound / hard violation / soft bound) accumulate into
   ``handler.last_stats`` and, when a profile is passed, into
@@ -55,7 +53,6 @@ kept as a selectable baseline; the benchmark compares both.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,7 +60,6 @@ import numpy as np
 
 from ..core.labels import OTHER, LabelSpace
 from ..core.mapping import Mapping
-from ..core.parallel import ParallelExecutor, resolve, split_round_robin
 from ..observability import Observer, StageProfile, resolve_observer
 from ..observability.metrics import (M_CONSTRAINT_LEAF_REJECTS,
                                      M_CONSTRAINT_NODES,
@@ -102,7 +98,7 @@ def _zero_stats() -> dict:
 
 @dataclass
 class _Problem:
-    """Read-only search description, shared by every worker."""
+    """Read-only search description."""
 
     tags: list[str]
     cands: dict[str, list[str]]          # cheapest-first per tag
@@ -115,37 +111,33 @@ class _Problem:
 
 
 class _Incumbent:
-    """The best complete assignment so far, shared across workers.
+    """The best complete assignment so far.
 
     Assignments are ordered by ``(cost, path)``: equal-cost solutions
     are tie-broken by the candidate-index path, which makes the final
-    winner independent of exploration order — the determinism contract.
-    ``best`` is swapped as one tuple so readers get a consistent
-    snapshot without taking the lock.
+    winner independent of exploration order — so a warm-start
+    pre-offer settles exactly what exploring that leaf would.
     """
 
-    __slots__ = ("best", "_lock")
+    __slots__ = ("best",)
 
     def __init__(self) -> None:
         self.best: tuple[float, tuple[int, ...], dict[str, str] | None] = \
             (math.inf, (), None)
-        self._lock = threading.Lock()
 
     def offer(self, cost: float, path: tuple[int, ...],
               assignment: dict[str, str]) -> None:
-        with self._lock:
-            held_cost, held_path, _ = self.best
-            if (cost, path) < (held_cost, held_path):
-                self.best = (cost, path, dict(assignment))
+        held_cost, held_path, _ = self.best
+        if (cost, path) < (held_cost, held_path):
+            self.best = (cost, path, dict(assignment))
 
 
 class _Budget:
-    """Shared expansion budget, optionally deadline-capped.
+    """Expansion budget, optionally deadline-capped.
 
-    Increments race benignly across worker threads (a lock per node
-    would cost more than the occasional lost count); at one worker the
-    count is exact. The deadline is polled amortized — every 256
-    expansions — so the hot path normally pays two attribute reads.
+    The count is exact: one search spends it. The deadline is polled
+    amortized — every 256 expansions — so the hot path normally pays
+    two attribute reads.
     ``stopped`` latches once any expansion is refused, which is
     exactly the "search was cut short, result is best-so-far" signal
     the anytime flag reports.
@@ -185,11 +177,11 @@ _SNAPSHOT_MASK = 0xFFF
 
 
 class _DfsEngine:
-    """One worker's incremental depth-first branch-and-bound.
+    """The incremental depth-first branch-and-bound.
 
     Owns private evaluator instances (constraints themselves stay
-    immutable and shared), a mutable assignment dict, and the candidate
-    index path. Hard evaluators are indexed by ``relevant_labels`` so a
+    immutable), a mutable assignment dict, and the candidate index
+    path. Hard evaluators are indexed by ``relevant_labels`` so a
     push touches only the constraints the new label can trip.
     """
 
@@ -302,10 +294,11 @@ class _DfsEngine:
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def run(self, root_indices: Sequence[int]) -> None:
-        """Search the subtrees under the given first-level candidate
-        indices (ascending, so the sorted-cost break stays valid)."""
-        self._expand(0, 0.0, 0.0, root_indices)
+    def run(self) -> None:
+        """Search the whole tree, first-level candidates in cost
+        order."""
+        if self._enter():
+            self._descend()
         self._flush_counters()
 
     def greedy_seed(self) -> None:
@@ -342,73 +335,110 @@ class _DfsEngine:
         self._nodes = self._prunes_bound = self._prunes_hard = 0
         self._prunes_soft = self._leaf_rejects = 0
 
-    def _expand(self, level: int, cost_so_far: float, soft_lower: float,
-                indices: Sequence[int]) -> None:
-        """Visit candidate ``indices`` of ``tags[level]`` in order.
-
-        The candidate loop is deliberately flat — prune tests inlined,
-        per-level lists precomputed — because this is the engine's one
-        hot path (millions of iterations on large schemas)."""
+    def _enter(self) -> bool:
+        """Spend one expansion on a node; False when the budget (or the
+        deadline) refuses it, and the node is then left unvisited."""
         budget = self.budget
         if budget.exhausted():
-            return
+            return False
         budget.spent += 1
         snap = budget.snapshot
         if snap is not None and not (budget.spent & _SNAPSHOT_MASK):
             # The checkpoint snapshot callback; it only reads the
-            # incumbent (under its lock) and writes through the atomic
-            # artifact layer, so it cannot perturb the search.
+            # incumbent and writes through the atomic artifact layer,
+            # so it cannot perturb the search.
             snap()  # lsd: ignore[flow-unresolved-hot-call]
         self._nodes += 1
+        return True
+
+    def _descend(self) -> None:
+        """Depth-first visit of the entered root: at each level, the
+        candidates of ``tags[level]`` in cost order.
+
+        The descent keeps its own stack of open levels instead of
+        recursing: CPython 3.11 frees a frame-stack chunk as soon as the
+        call depth falls back across its boundary, so a recursion
+        oscillating there pays an mmap/munmap per node — half the wall
+        time of a budget-capped Real Estate II search, varying with the
+        caller's depth. The candidate loop is deliberately flat — prune
+        tests inlined, per-level lists precomputed — because this is the
+        engine's one hot path."""
         inc = self.incumbent
         path = self.path
-        tag = self.p.tags[level]
-        cands = self._cand_lists[level]
-        costs = self._cost_lists[level]
-        remaining = self.p.suffix_best[level + 1]
-        next_level = level + 1
-        is_leaf = next_level == self._n
-        for count, idx in enumerate(indices):
-            new_cost = cost_so_far + costs[idx]
-            bound = new_cost + remaining + soft_lower
-            best_cost, best_path, best_assignment = inc.best
-            if bound > best_cost or (
-                    bound == best_cost and best_assignment is not None
-                    and (*path, idx) > best_path[:next_level]):
-                # Candidates are cost-sorted: the rest cost more, so the
-                # whole remaining sibling run is cut in one break.
-                n_cut = len(indices) - count
-                if new_cost + remaining <= best_cost < bound:
-                    self._prunes_soft += n_cut
-                else:
-                    self._prunes_bound += n_cut
-                break
-            label = cands[idx]
-            delta = self._try_push(tag, label)
-            if delta is None:
-                self._prunes_hard += 1
-                continue
-            new_soft = soft_lower + delta
-            if delta > 0.0:
-                bound = new_cost + remaining + new_soft
+        tags = self.p.tags
+        suffix_best = self.p.suffix_best
+        cand_lists = self._cand_lists
+        cost_lists = self._cost_lists
+        ranges = self._ranges
+        n = self._n
+        # One entry per open ancestor: where its candidate loop resumes.
+        stack: list[tuple] = []
+        level, cost_so_far, soft_lower, pos = 0, 0.0, 0.0, 0
+        while True:
+            tag = tags[level]
+            cands = cand_lists[level]
+            costs = cost_lists[level]
+            indices = ranges[level]
+            remaining = suffix_best[level + 1]
+            next_level = level + 1
+            is_leaf = next_level == n
+            n_indices = len(indices)
+            descended = False
+            while pos < n_indices:
+                idx = indices[pos]
+                new_cost = cost_so_far + costs[idx]
+                bound = new_cost + remaining + soft_lower
                 best_cost, best_path, best_assignment = inc.best
                 if bound > best_cost or (
-                        bound == best_cost
-                        and best_assignment is not None
+                        bound == best_cost and best_assignment is not None
                         and (*path, idx) > best_path[:next_level]):
-                    self._prunes_soft += 1
-                    self._pop(tag, label)
+                    # Candidates are cost-sorted: the rest cost more, so
+                    # the whole remaining sibling run is cut in one go.
+                    n_cut = n_indices - pos
+                    if new_cost + remaining <= best_cost < bound:
+                        self._prunes_soft += n_cut
+                    else:
+                        self._prunes_bound += n_cut
+                    break
+                pos += 1
+                label = cands[idx]
+                delta = self._try_push(tag, label)
+                if delta is None:
+                    self._prunes_hard += 1
                     continue
-            path.append(idx)
-            if is_leaf:
-                # The running soft bound is a lower bound only; the
-                # leaf re-settles soft costs exactly via the evaluators.
-                self._offer_leaf(new_cost)
-            else:
-                self._expand(next_level, new_cost, new_soft,
-                             self._ranges[next_level])
+                new_soft = soft_lower + delta
+                if delta > 0.0:
+                    bound = new_cost + remaining + new_soft
+                    best_cost, best_path, best_assignment = inc.best
+                    if bound > best_cost or (
+                            bound == best_cost
+                            and best_assignment is not None
+                            and (*path, idx) > best_path[:next_level]):
+                        self._prunes_soft += 1
+                        self._pop(tag, label)
+                        continue
+                path.append(idx)
+                if is_leaf:
+                    # The running soft bound is a lower bound only; the
+                    # leaf re-settles soft costs exactly via the
+                    # evaluators.
+                    self._offer_leaf(new_cost)
+                elif self._enter():
+                    stack.append((level, cost_so_far, soft_lower, pos,
+                                  label))
+                    level, cost_so_far, soft_lower, pos = \
+                        next_level, new_cost, new_soft, 0
+                    descended = True
+                    break
+                path.pop()
+                self._pop(tag, label)
+            if descended:
+                continue
+            if not stack:
+                return
+            level, cost_so_far, soft_lower, pos, label = stack.pop()
             path.pop()
-            self._pop(tag, label)
+            self._pop(tags[level], label)
 
     def _offer_leaf(self, score_cost: float) -> None:
         """Settle exact soft costs and hard completeness at a leaf."""
@@ -478,7 +508,6 @@ class ConstraintHandler:
     def find_mapping(self, scores: dict[str, np.ndarray],
                      space: LabelSpace, ctx: MatchContext,
                      extra_constraints: Sequence[Constraint] = (),
-                     executor: ParallelExecutor | None = None,
                      profile: StageProfile | None = None,
                      observer: Observer | None = None,
                      deadline=None, report=None, warm_start=None,
@@ -487,11 +516,11 @@ class ConstraintHandler:
 
         ``scores[tag]`` is the prediction converter's normalised score
         vector for that tag. ``extra_constraints`` carries user feedback
-        for the current source only (§4.3). ``executor`` fans the
-        branch-and-bound root subtrees out across worker threads (the
-        mapping is byte-identical at any worker count); ``profile``
-        receives ``constraint_*`` counters when given; ``observer``
-        records a ``search`` span and the ``constraint.*`` metrics.
+        for the current source only (§4.3). The search is one serial
+        depth-first pass, so the mapping and ``last_stats`` never depend
+        on the run's worker count. ``profile`` receives
+        ``constraint_*`` counters when given; ``observer`` records a
+        ``search`` span and the ``constraint.*`` metrics.
 
         ``deadline`` (a :class:`repro.resilience.Deadline`) caps the
         search by wall clock on top of the expansion budget; when either
@@ -512,9 +541,8 @@ class ConstraintHandler:
         obs = resolve_observer(observer)
         with obs.trace.span("search", strategy=self.search) as span:
             mapping = self._find_mapping(scores, space, ctx,
-                                         extra_constraints, executor,
-                                         profile, deadline, warm_start,
-                                         snapshot)
+                                         extra_constraints, profile,
+                                         deadline, warm_start, snapshot)
             span.set_attribute(
                 "nodes_expanded", self.last_stats["nodes_expanded"])
         for stat, metric in _STAT_METRICS.items():
@@ -526,7 +554,6 @@ class ConstraintHandler:
     def _find_mapping(self, scores: dict[str, np.ndarray],
                       space: LabelSpace, ctx: MatchContext,
                       extra_constraints: Sequence[Constraint],
-                      executor: ParallelExecutor | None,
                       profile: StageProfile | None,
                       deadline=None, warm_start=None,
                       snapshot=None) -> Mapping:
@@ -573,9 +600,8 @@ class ConstraintHandler:
                     best = dict(warm_assignment)
                     stats["best_cost"] = float(warm_cost)
         else:
-            best, stats = self._branch_and_bound(problem, executor,
-                                                 deadline, warm_start,
-                                                 snapshot)
+            best, stats = self._branch_and_bound(problem, deadline,
+                                                 warm_start, snapshot)
         stats["strategy"] = self.search
         self.last_stats = stats
         if profile is not None:
@@ -592,12 +618,10 @@ class ConstraintHandler:
     # ------------------------------------------------------------------
     # strategies
     # ------------------------------------------------------------------
-    def _branch_and_bound(self, problem: _Problem,
-                          executor: ParallelExecutor | None,
-                          deadline=None, warm_start=None, snapshot=None
+    def _branch_and_bound(self, problem: _Problem, deadline=None,
+                          warm_start=None, snapshot=None
                           ) -> tuple[dict[str, str] | None, dict]:
-        """Incremental DFS branch-and-bound with a parallel root-split."""
-        executor = resolve(executor)
+        """Incremental DFS branch-and-bound from a greedy seed."""
         incumbent = _Incumbent()
         budget = _Budget(self.max_expansions, deadline)
         if warm_start is not None:
@@ -611,24 +635,10 @@ class ConstraintHandler:
                     snapshot(cost, path, assignment)
             budget.snapshot = snap
 
-        seed_engine = _DfsEngine(problem, incumbent, budget)
-        seed_engine.greedy_seed()
-
-        root_count = len(problem.cands[problem.tags[0]])
-        partitions = split_round_robin(range(root_count),
-                                       executor.workers)
-
-        def run_partition(indices: list[int]) -> dict:
-            engine = _DfsEngine(problem, incumbent, budget)
-            engine.run(indices)
-            return engine.stats
-
-        worker_stats = executor.map(run_partition, partitions)
-        stats = _zero_stats()
-        for part in (seed_engine.stats, *worker_stats):
-            for name in _STAT_NAMES:
-                stats[name] += part[name]
-        stats["root_partitions"] = len(partitions)
+        engine = _DfsEngine(problem, incumbent, budget)
+        engine.greedy_seed()
+        engine.run()
+        stats = engine.stats
         stats["anytime"] = int(budget.stopped)
 
         if budget.snapshot is not None:

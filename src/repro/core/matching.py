@@ -217,7 +217,7 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
             profile, match_span)
         mapping, quality = _constrain_stage(
             prediction, converter, handler, space, extra_constraints,
-            executor, obs, policy, checkpoint, profile, deadline)
+            obs, policy, checkpoint, profile, deadline)
     return _finish(prediction, mapping, quality, space, profile, obs,
                    policy, cache_before)
 
@@ -227,7 +227,6 @@ def constrain_source(prediction: SourcePrediction,
                      handler: ConstraintHandler | None,
                      space: LabelSpace,
                      extra_constraints: Sequence[Constraint] = (),
-                     executor: ParallelExecutor | None = None,
                      policy: ResiliencePolicy | None = None
                      ) -> MatchResult:
     """The constrain stage alone, on an earlier run's ``prediction``.
@@ -245,14 +244,13 @@ def constrain_source(prediction: SourcePrediction,
     No checkpoint is taken, and no trace, metrics or quality records
     are recorded.
     """
-    executor = resolve(executor)
     obs = resolve_observer(None)
     profile = StageProfile()
     cache_before = featurize.stats.snapshot()
     deadline = policy.start_deadline() if policy is not None else None
     mapping, quality = _constrain_stage(
         prediction, converter, handler, space, extra_constraints,
-        executor, obs, policy, None, profile, deadline)
+        obs, policy, None, profile, deadline)
     return _finish(prediction, mapping, quality, space, profile, obs,
                    policy, cache_before)
 
@@ -328,8 +326,8 @@ def _constrain_stage(prediction: SourcePrediction,
                      handler: ConstraintHandler | None,
                      space: LabelSpace,
                      extra_constraints: Sequence[Constraint],
-                     executor: ParallelExecutor, obs: Observer,
-                     policy: ResiliencePolicy | None, checkpoint,
+                     obs: Observer, policy: ResiliencePolicy | None,
+                     checkpoint,
                      profile: StageProfile, deadline: Deadline | None
                      ) -> tuple[Mapping, list[QualityRecord]]:
     """Search (or argmax) for the mapping, then its quality records."""
@@ -358,8 +356,7 @@ def _constrain_stage(prediction: SourcePrediction,
         else:
             mapping = handler.find_mapping(
                 tag_scores, space, prediction.context, extra_constraints,
-                executor=executor, profile=profile, observer=obs,
-                deadline=deadline,
+                profile=profile, observer=obs, deadline=deadline,
                 report=policy.report if policy is not None else None,
                 warm_start=checkpoint.load_incumbent()
                 if checkpoint is not None else None,
@@ -474,9 +471,9 @@ def _emit_degradation_metrics(degradation: DegradationReport,
 # A learner whose prediction raises under an active resilience policy
 # comes back through the executor as a TaskFailure value rather than an
 # exception — every healthy learner still returns its scores, and
-# quarantines are recorded by the main thread in learner-submission
-# order. TaskFailure (repro.core.procpool) carries only the two strings
-# the quarantine record needs, so thread-side and process-side failures
+# quarantines are recorded by the parent in learner-submission order.
+# TaskFailure (repro.core.procpool) carries only the two strings the
+# quarantine record needs, so in-process and worker-process failures
 # produce byte-identical degradation reports.
 
 
@@ -505,14 +502,14 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     whole-batch call at any worker count.
 
     Worker-side stage timings record into per-task profiles and merge
-    back (``map_profiled``); trace spans opened on worker threads name
-    the predict span as their explicit parent, and shard spans carry
-    their shard index in the name (single-shard batches keep the legacy
-    ``learner.<name>`` span), so the trace tree is the same at any
-    worker count. Each (learner, shard) task contributes ``len(batch)``
-    observations of its mean per-instance latency to the
-    prediction-latency histogram — O(learners × shards) timer reads,
-    not O(instances).
+    back (``map_profiled``); trace spans, opened inline or replayed
+    from the worker processes, name the predict span as their explicit
+    parent, and shard spans carry their shard index in the name
+    (single-shard batches keep the legacy ``learner.<name>`` span), so
+    the trace tree is the same at any worker count. Each (learner,
+    shard) task contributes ``len(batch)`` observations of its mean
+    per-instance latency to the prediction-latency histogram —
+    O(learners × shards) timer reads, not O(instances).
 
     With an active ``policy``, a learner whose prediction raises or
     times out in *any* shard comes back as a :class:`TaskFailure`
@@ -522,9 +519,9 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     (on its first shard), exactly as it did before sharding.
 
     With a ``checkpoint``, each learner's pass-0 matrix is persisted
-    as its gather completes — gather always happens here on the
-    orchestrating thread, so the persisted bytes are identical on
-    every backend — and learners already on disk are dropped from the
+    as its gather completes — gather always happens here in the parent
+    process, so the persisted bytes are identical at any worker
+    count — and learners already on disk are dropped from the
     fan-out on resume (per-learner shard plans make each learner's
     scores independent of the group it runs with). Structure passes
     are never persisted: they re-run deterministically from the pass-0
@@ -554,7 +551,7 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                         policy.learner_timeout)
                 except Exception as exc:  # lsd: ignore[blind-except]
                     # Quarantine boundary: any learner failure becomes
-                    # a sentinel the main thread records in submission
+                    # a sentinel the parent records in submission
                     # order — degradation, not a crash.
                     return TaskFailure.from_exception(exc)
             elapsed = time.perf_counter() - start  # lsd: ignore[wallclock]
@@ -599,10 +596,10 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                             group: list[BaseLearner],
                             plans: list[list[tuple[int, int]]]) -> list:
         """The (learner × shard) grid as :class:`ProcessTask`
-        descriptors for the process backend — same shape, same span
-        names, same fault gates as the closure grid below; each task's
-        ``fallback`` is exactly the thread-path call, which is what
-        keeps serial reruns and pool-death recovery byte-identical."""
+        descriptors for the worker pool — same shape, same span names,
+        same fault gates as the closure grid below; each task's
+        ``fallback`` is exactly the serial call, which is what keeps
+        serial reruns and pool-death recovery byte-identical."""
         tasks = []
         for learner, bounds in zip(group, plans):
             n_shards = len(bounds)
@@ -648,7 +645,7 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
         with per-call amortized costs stay coarse while per-row
         learners split finely, so a parallel map balances its makespan
         without taxing the serial path. Every plan is a pure function
-        of the batch size, never of the worker count or backend.
+        of the batch size, never of the worker count.
         """
         plans = [shard_bounds(len(batch), target=learner.shard_rows)
                  if getattr(learner, "shard_rows", None)
@@ -666,7 +663,7 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
             shard_batch = [batch[i] for i in order]
             inverse = np.empty(len(batch), dtype=np.intp)
             inverse[order] = np.arange(len(batch))
-        if executor.wants_process_tasks:
+        if executor.is_parallel:
             tasks = build_process_tasks(shard_batch, group, plans)
             pieces = executor.map_profiled(
                 lambda task, prof: task.fallback(prof),
@@ -715,10 +712,9 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
             failure.error_type)
         scores_by_learner.pop(learner.name, None)
 
-    # Pre-fill the shared text cache on the orchestrating thread: every
-    # learner's distinct-key grouping reads the subtree text, so the
-    # pure-Python tree walks happen exactly once per instance instead
-    # of racing to fill the same slots from several worker threads.
+    # Pre-fill the shared text cache in the parent: every learner's
+    # distinct-key grouping reads the subtree text, so the pure-Python
+    # tree walks happen exactly once per instance, before the fan-out.
     # Pure warming — outputs are unchanged.
     if featurize.is_enabled():
         with profile.stage("predict.featurize_warm"):

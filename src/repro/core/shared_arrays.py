@@ -1,6 +1,6 @@
 """Zero-copy export of a model's large arrays into shared storage.
 
-The process execution backend (:mod:`repro.core.procpool`) and the
+The worker-process pool (:mod:`repro.core.procpool`) and the
 array-store persistence format (:mod:`repro.core.persistence`) share one
 problem: a trained :class:`~repro.core.system.LSDSystem` is mostly a
 handful of big read-only numpy arrays — the TF-IDF CSR ``data`` /

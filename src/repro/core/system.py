@@ -44,7 +44,6 @@ class LSDSystem:
                  max_instances_per_tag: int | None = None,
                  prune_types: bool = False,
                  workers: int = 1,
-                 backend: str = "thread",
                  policy: ResiliencePolicy | None = None) -> None:
         """
         Parameters
@@ -73,17 +72,13 @@ class LSDSystem:
             grossly incompatible with a column are zeroed before the
             constraint handler runs.
         workers:
-            Worker count for learner prediction and cross-validation
-            fan-out (1 = serial). Any value produces byte-identical
-            results; more workers only change wall-clock time. Mutable
-            after construction (``system.workers = 4``).
-        backend:
-            Execution backend for the fan-out: ``"thread"`` (default),
-            ``"process"`` (a persistent worker-process pool sharing the
-            trained model zero-copy — the only backend the GIL cannot
-            serialise; see :mod:`repro.core.procpool`), or ``"serial"``.
-            Byte-identical outputs across all three. Mutable after
-            construction; runtime state, never pickled with the model.
+            Worker processes for learner prediction at match time
+            (1 = serial). Above 1 a trained system scores on a
+            persistent worker-process pool sharing the model zero-copy
+            (see :mod:`repro.core.procpool`); training and the
+            constraint search always run serially. Any value produces
+            byte-identical results; more workers only change wall-clock
+            time. Mutable after construction (``system.workers = 4``).
         policy:
             A :class:`repro.resilience.ResiliencePolicy` arming fault
             tolerance for this system's runs: learners whose fit or
@@ -113,9 +108,8 @@ class LSDSystem:
         self.seed = seed
         self.max_instances_per_tag = max_instances_per_tag
         self.workers = workers
-        self.backend = backend
         self.policy = policy
-        #: The live worker-process pool (process backend only); built
+        #: The live worker-process pool (``workers > 1`` only); built
         #: lazily on executor access, rebuilt after retraining, released
         #: by :meth:`close_pool`. Runtime state — never pickled.
         self._procpool = None
@@ -130,25 +124,29 @@ class LSDSystem:
 
     @property
     def executor(self) -> ParallelExecutor:
-        """The executor for the configured worker count and backend.
+        """The executor for the configured worker count.
 
-        Built on access (it wraps an int, the backend name, the policy,
-        and — for the process backend — the lazily built worker pool)
-        so models pickled before these options existed load and run
-        serially.
+        Built on access (it wraps an int, the policy and the lazily
+        built worker pool) so models pickled before these options
+        existed load and run serially.
         """
-        backend = getattr(self, "backend", "thread")
-        pool = self._ensure_pool() if backend == "process" else None
         return ParallelExecutor(getattr(self, "workers", 1),
                                 getattr(self, "policy", None),
-                                backend=backend, pool=pool)
+                                pool=self._ensure_pool())
 
     def _ensure_pool(self):
         """The live worker-process pool, building (or rebuilding) it if
         needed. ``None`` when a pool makes no sense: untrained system,
-        ``workers <= 1``. A pool broken by a worker crash is replaced on
-        the next access — self-healing across runs, while the run that
-        saw the crash keeps its thread fallback.
+        ``workers <= 1``, or a pool that cannot start. A serial run
+        leaves a live pool in place for the next parallel one
+        (:meth:`close_pool` releases it). A pool broken by a worker
+        crash is replaced on the next access — self-healing across
+        runs, while the run that saw the crash finishes serially.
+
+        Starting a pool needs ``fork`` and POSIX shared memory; when
+        that fails with :class:`OSError` (say a full ``/dev/shm``) the
+        run goes on serially and the policy, if any, records a
+        ``pool.start`` pool failure.
 
         The pool is sized ``min(workers, cpu_count)``: worker processes
         beyond the host's cores only add scheduling contention and
@@ -158,8 +156,10 @@ class LSDSystem:
         processes drained the queue — so ``--workers 4`` stays
         byte-identical on any host."""
         workers = getattr(self, "workers", 1)
-        if workers <= 1 or self.meta is None:
+        if self.meta is None:
             self.close_pool()
+            return None
+        if workers <= 1:
             return None
         pool_size = max(1, min(workers, os.cpu_count() or 1))
         pool = getattr(self, "_procpool", None)
@@ -171,14 +171,20 @@ class LSDSystem:
             from .procpool import WorkerPool
             learners = getattr(self, "active_learners", None) \
                 or self.learners
-            pool = WorkerPool(learners, pool_size)
+            try:
+                pool = WorkerPool(learners, pool_size)
+            except OSError:
+                policy = getattr(self, "policy", None)
+                if policy is not None:
+                    policy.report.pool_failed("pool.start")
+                return None
             self._procpool = pool
         return pool
 
     def close_pool(self) -> None:
         """Shut down the worker-process pool (workers + shared-memory
         segment), if one is live. Safe to call at any time; the next
-        process-backend run rebuilds it."""
+        parallel run rebuilds it."""
         pool = getattr(self, "_procpool", None)
         if pool is not None:
             pool.shutdown()
@@ -267,14 +273,15 @@ class LSDSystem:
                     survivors, instances, labels, self.space,
                     folds=self.folds, seed=self.seed,
                     uniform=not self.use_meta_learner,
-                    executor=self.executor, profile=profile,
-                    observer=obs)
+                    executor=ParallelExecutor(
+                        policy=getattr(self, "policy", None)),
+                    profile=profile, observer=obs)
             events.emit(EV_STAGE_END, stage="cv",
                         elapsed_seconds=profile.seconds("cv"))
         self.active_learners = survivors
         self.train_profile = profile
         # Any live worker pool holds the pre-retrain model; drop it so
-        # the next process-backend match rebuilds on the fresh one.
+        # the next parallel match rebuilds on the fresh one.
         self.close_pool()
 
     @property
@@ -322,8 +329,8 @@ class LSDSystem:
 
         The result equals ``match(schema, listings, extra_constraints)``
         on the listings ``previous`` was matched from, without
-        re-extracting or re-predicting them. Uses this system's handler,
-        executor and policy; see
+        re-extracting or re-predicting them. Uses this system's handler
+        and policy; see
         :func:`~repro.core.matching.constrain_source`. A prediction made
         before the system was last (re)trained is refused: match the
         source again instead.
@@ -337,8 +344,7 @@ class LSDSystem:
                 "matched; call match() again")
         return constrain_source(
             prediction, self.converter, self.handler, self.space,
-            extra_constraints, executor=self.executor,
-            policy=getattr(self, "policy", None))
+            extra_constraints, policy=getattr(self, "policy", None))
 
     def confirm_and_learn(self, schema: SourceSchema | str,
                           listings: Sequence[Element],

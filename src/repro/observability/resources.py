@@ -3,7 +3,7 @@
 :func:`read_proc_self` reads one point-in-time snapshot of the calling
 process — resident set size, cumulative CPU time, open file
 descriptors, live threads — straight from procfs with no third-party
-dependencies. Workers of the process execution backend call it to ship
+dependencies. Workers of the worker-process pool call it to ship
 resource snapshots back over the pool's wire protocol; the driver calls
 it through :class:`ResourceSampler` to keep the ``proc.*`` gauges live
 while ``--serve-metrics`` is scraping.

@@ -142,11 +142,11 @@ class TraceCollector:
              attributes: dict | None = None) -> str:
         """Record one already-finished span and return its id.
 
-        The process execution backend measures spans inside worker
+        The worker-process pool measures spans inside worker
         processes and replays them here (in submission order), so the
         id allocation runs through exactly the same occurrence counters
-        as :meth:`span` — a process-backend trace is structurally
-        byte-identical to the thread/serial one. ``parent`` is never
+        as :meth:`span` — a worker-pool trace is structurally
+        byte-identical to the serial one. ``parent`` is never
         implicit: a replayed span belongs to the fan-out's parent, not
         to whatever the replaying thread happens to have open.
         """

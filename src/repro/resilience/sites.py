@@ -39,13 +39,12 @@ SITE_EXECUTOR_POOL = "executor.pool"
 #: exercise the anytime/best-so-far path.
 SITE_SEARCH_ROOT = "constraints.search"
 
-#: One worker of the process execution backend; key = the map call's
-#: stage label. A fired fault hard-kills a live worker process
-#: (``os._exit``) before any task of that map is dispatched, breaking
-#: the pool and exercising the genuine crash-recovery path: serial
-#: fallback for the map, segment cleanup, thread fallback afterwards.
-#: Fires only when a process pool is actually in use — at
-#: ``--workers 1`` (or ``--backend thread``) there is no process to
+#: One worker of the worker-process pool; key = the map call's stage
+#: label. A fired fault hard-kills a live worker process (``os._exit``)
+#: before any task of that map is dispatched, breaking the pool and
+#: exercising the genuine crash-recovery path: serial fallback for the
+#: map, segment cleanup, serial maps afterwards. Fires only when a
+#: pool is actually in use — at ``--workers 1`` there is no process to
 #: kill, so plans targeting it leave such runs untouched.
 SITE_WORKER_PROCESS = "worker.process"
 
@@ -75,10 +74,10 @@ SITE_CATALOGUE: dict[str, str] = {
         "The executor's worker pool; a fault here simulates pool death "
         "and forces the serial fallback (key: stage label).",
     SITE_SEARCH_ROOT:
-        "Constraint-search root split; used to exercise the anytime "
+        "Constraint-search entry; used to exercise the anytime "
         "best-so-far path (key: search label).",
     SITE_WORKER_PROCESS:
-        "One process-backend worker; a fault here hard-kills the "
+        "One worker-pool process; a fault here hard-kills the "
         "worker before dispatch, forcing the serial fallback and the "
         "shared-memory cleanup path (key: stage label).",
     SITE_ARTIFACT_WRITE:

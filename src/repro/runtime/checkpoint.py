@@ -20,9 +20,9 @@ boundaries, each one an atomic artifact under
     because extraction is deterministic.
 ``scores_<learner>.bin``
     One flat per-learner score matrix each, persisted as each
-    learner's shard gather completes — gather happens on the
-    orchestrating thread for every backend, so the persisted bytes are
-    identical for serial, thread and process execution (stage
+    learner's shard gather completes — gather happens in the parent
+    process at any worker count, so the persisted bytes are identical
+    for serial and worker-pool execution (stage
     ``predict``). The format is one JSON header line (learner name,
     shape, dtype) followed by the raw C-order array bytes: the shard
     is self-describing, so resume recovers shards by directory scan
@@ -41,9 +41,9 @@ boundaries, each one an atomic artifact under
 The *run key* fingerprints everything that determines pipeline output:
 the dataset fingerprint, the search strategy, feedback constraints,
 and the output-affecting settings. Resuming under a different key
-starts fresh instead of serving stale state — worker counts and
-backends are deliberately *not* part of the key, because the pipeline
-is byte-identical across them.
+starts fresh instead of serving stale state — the worker count is
+deliberately *not* part of the key, because the pipeline is
+byte-identical at any count.
 
 Every write goes through :mod:`repro.observability.artifacts`
 (temp file + rename), so a run SIGKILLed at any instant leaves either
@@ -136,9 +136,9 @@ def run_key(fingerprint: str, *, search: str = "bnb",
 
     Hashes the dataset fingerprint with every knob that can change
     pipeline *output* (search strategy, feedback constraints, handler
-    and extraction settings). Worker count and backend are excluded:
-    output is byte-identical across them, so a run may resume under a
-    different parallelism than it started with.
+    and extraction settings). The worker count is excluded: output is
+    byte-identical at any count, so a run may resume under a different
+    parallelism than it started with.
     """
     digest = hashlib.sha256()
     digest.update(fingerprint.encode())
@@ -166,9 +166,9 @@ class Checkpointer:
     :class:`~repro.resilience.DegradationReport`) receives absorbed
     write failures. Both default to inert.
 
-    Thread safety: :meth:`save_incumbent` is called from search worker
-    threads and serialises on an internal lock; the stage saves happen
-    on the orchestrating thread only.
+    Thread safety: :meth:`save_incumbent` is called from inside the
+    constraint search and serialises on an internal lock; the stage
+    saves happen on the orchestrating thread only.
 
     ``background=True`` moves serialization, fsync and stage commits
     onto a dedicated writer thread (ordered queue, one writer). The
@@ -427,7 +427,7 @@ class Checkpointer:
     # ------------------------------------------------------------------
     def save_incumbent(self, cost: float, path: tuple,
                        assignment: dict | None) -> None:
-        """Snapshot the search's best-so-far leaf (worker-thread safe,
+        """Snapshot the search's best-so-far leaf (thread safe,
         deduplicated, never fatal). JSON floats round-trip exactly
         (repr grammar), so a warm start re-offers the identical cost."""
         if assignment is None:

@@ -15,7 +15,7 @@ A :class:`Supervisor` is one daemon thread with two signals:
   pipeline goes silent past the deadline the supervisor records a
   stall and trips the policy deadline, forcing the constraint search
   onto its anytime best-so-far exit instead of hanging forever. This
-  is the only lever that works on the serial and thread backends,
+  is the only lever that works on a serial (``--workers 1``) run,
   where there is no separate process to kill.
 
 Every escalation lands in the run's

@@ -50,7 +50,7 @@ class TfidfVectorSpace:
         # The fitted model is immutable from here on: queries build
         # *fresh* matrices (transform) and only ever read these. Marking
         # the arrays read-only proves it at runtime and is what lets the
-        # process backend / array-store persistence hand every consumer
+        # worker pool / array-store persistence hand every consumer
         # zero-copy views of the same bytes (repro.core.shared_arrays).
         self.idf.setflags(write=False)
         self.matrix.data.setflags(write=False)

@@ -1,4 +1,7 @@
-"""Tests for the deterministic parallel executor."""
+"""Tests for the deterministic parallel executor.
+
+Generic closures always run serially; only ``ProcessTask`` maps reach a
+worker pool (see ``tests/test_core_procpool.py``)."""
 
 import pytest
 
@@ -46,35 +49,16 @@ class TestMap:
 
     def test_first_failure_in_submission_order_wins(self):
         """When several items fail, the earliest *submitted* failure
-        raises — even if a later item fails first on the wall clock.
-        Item 0 sleeps before failing while item 5 fails immediately;
-        the serial path trivially raises item 0's error, and the
-        parallel path must match it exactly."""
-        import threading
-
-        item5_failed = threading.Event()
-
+        raises, at any worker count."""
         def boom(x):
             if x == 0:
-                # Don't fail until the later item already has.
-                item5_failed.wait(timeout=5)
                 raise KeyError("submitted first")
             if x == 5:
-                try:
-                    raise IndexError("finished failing first")
-                finally:
-                    item5_failed.set()
+                raise IndexError("submitted later")
             return x
 
         with pytest.raises(KeyError, match="submitted first"):
             ParallelExecutor(8).map(boom, range(8))
-
-
-class TestStarmap:
-    def test_unpacks_argument_tuples(self):
-        executor = ParallelExecutor(2)
-        assert executor.starmap(lambda a, b: a + b,
-                                [(1, 2), (3, 4)]) == [3, 7]
 
 
 class TestMapProfiled:
@@ -118,8 +102,16 @@ class TestConstruction:
         assert ParallelExecutor(-3).workers == 1
 
     def test_is_parallel(self):
-        assert not ParallelExecutor(1).is_parallel
-        assert ParallelExecutor(2).is_parallel
+        """Parallel means a live pool and more than one worker."""
+        class Pool:
+            alive = True
+
+        pool = Pool()
+        assert not ParallelExecutor(1, pool=pool).is_parallel
+        assert not ParallelExecutor(2).is_parallel
+        assert ParallelExecutor(2, pool=pool).is_parallel
+        pool.alive = False
+        assert not ParallelExecutor(2, pool=pool).is_parallel
 
     def test_resolve_defaults_to_serial(self):
         assert resolve(None) is SERIAL

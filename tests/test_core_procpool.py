@@ -242,8 +242,7 @@ class TestRunProcessMap:
         pool = WorkerPool([_fitted_name_matcher()], workers=1)
         try:
             pool.crash_worker(0)
-            executor = ParallelExecutor(workers=2, backend="process",
-                                        pool=pool)
+            executor = ParallelExecutor(workers=2, pool=pool)
             batch = _query_instances()
             results = run_process_map(executor, self._tasks(batch),
                                       StageProfile(), "predict")
@@ -260,8 +259,7 @@ class TestRunProcessMap:
                           workers=1)
         name = pool.segment_name
         try:
-            executor = ParallelExecutor(workers=2, backend="process",
-                                        pool=pool)
+            executor = ParallelExecutor(workers=2, pool=pool)
             batch = _query_instances()
             results = run_process_map(
                 executor, self._tasks(batch, learner_name="suicide"),

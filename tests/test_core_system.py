@@ -240,8 +240,11 @@ class TestThroughputEngine:
     def test_parallel_match_is_byte_identical_to_serial(self, result):
         """--workers 4 must change wall-clock only: every tag's score
         row and the final mapping are byte-identical to the serial run."""
-        parallel = trained_system(workers=4).match(GREATHOMES_SCHEMA,
-                                                   GREATHOMES_LISTINGS)
+        system = trained_system(workers=4)
+        try:
+            parallel = system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS)
+        finally:
+            system.close_pool()
         assert set(parallel.tag_scores) == set(result.tag_scores)
         for tag, scores in result.tag_scores.items():
             assert np.array_equal(parallel.tag_scores[tag], scores)
@@ -354,24 +357,63 @@ def first_wrong(session, truth) -> str | None:
                  if session.mapping[tag] != truth.get(tag, OTHER)), None)
 
 
-@pytest.fixture(scope="module")
-def assessor_feed_system():
-    """Real Estate II trained on the split that holds out
-    ``assessor-feed.gov``, whose searches hit the expansion budget."""
+def real_estate_2_system(split: int, held_out: str, listings: int):
+    """Real Estate II trained on one ``train_test_splits`` split at
+    ``listings`` per source, plus that split's ``held_out`` source."""
     from repro.datasets import load_domain
     from repro.evaluation.configurations import SystemConfig, build_system
     from repro.evaluation.experiment import train_test_splits
 
     domain = load_domain("real_estate_2", seed=0)
-    train, test = train_test_splits(domain.sources)[2]
+    train, test = train_test_splits(domain.sources)[split]
     system = build_system(domain, SystemConfig("complete"),
-                          max_instances_per_tag=30, seed=0)
+                          max_instances_per_tag=listings, seed=0)
     for source in train:
-        system.add_training_source(source.schema, source.listings(30),
+        system.add_training_source(source.schema,
+                                   source.listings(listings),
                                    source.mapping)
     system.train()
-    (source,) = [s for s in test if s.name == "assessor-feed.gov"]
+    (source,) = [s for s in test if s.name == held_out]
     return system, source
+
+
+@pytest.fixture(scope="module")
+def assessor_feed_system():
+    """Real Estate II trained on the split that holds out
+    ``assessor-feed.gov``, whose searches hit the expansion budget."""
+    return real_estate_2_system(2, "assessor-feed.gov", 30)
+
+
+class TestSearchDeterminism:
+    """The constraint search is one serial depth-first pass, so its
+    work counters are exact: ``--workers`` may change how prediction
+    runs, never what the search does."""
+
+    @staticmethod
+    def search(system, source, listings, workers):
+        system.workers = workers
+        try:
+            result = system.match(source.schema, listings)
+        finally:
+            system.workers = 1
+            system.close_pool()
+        return dict(result.mapping.items()), dict(system.handler.last_stats)
+
+    def test_proven_search_stats_identical_at_any_workers(self):
+        system, source = real_estate_2_system(0, "dreamhomes.com", 100)
+        listings = source.listings(100)
+        serial = self.search(system, source, listings, 1)
+        assert not serial[1]["anytime"]
+        assert self.search(system, source, listings, 4) == serial
+
+    def test_budget_capped_search_stats_identical_at_any_workers(
+            self, assessor_feed_system):
+        system, source = assessor_feed_system
+        listings = source.listings(30)
+        serial = self.search(system, source, listings, 1)
+        assert serial[1]["anytime"]
+        assert serial[1]["nodes_expanded"] >= system.handler.max_expansions
+        assert self.search(system, source, listings, 4) == serial
 
 
 class TestFeedbackReusesPredictions:

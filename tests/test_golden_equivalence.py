@@ -223,6 +223,7 @@ class TestWorkerCountEquivalence:
             result = system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS)
         finally:
             system.workers = 1
+            system.close_pool()
         self._assert_identical(result, serial_result)
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -245,11 +246,12 @@ class TestWorkerCountEquivalence:
             result = system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS)
         finally:
             system.workers = 1
+            system.close_pool()
         self._assert_identical(result, serial_result)
 
 
 class TestProcessBackendEquivalence:
-    """The process backend is byte-identical to serial: mappings, tag
+    """The worker-process pool is byte-identical to serial: mappings, tag
     score rows, quality records, and trace span structure at any
     ``--workers``.  Worker processes score shards against shared-memory
     model views, so any drift here would mean the exported arrays (or
@@ -262,22 +264,20 @@ class TestProcessBackendEquivalence:
 
     @pytest.fixture(scope="class")
     def serial_run(self, system):
-        return self._run(system, workers=1, backend="serial")
+        return self._run(system, workers=1)
 
     @staticmethod
-    def _run(system, workers, backend):
+    def _run(system, workers):
         from repro.observability import Observer
         from .test_core_system import (GREATHOMES_LISTINGS,
                                        GREATHOMES_SCHEMA)
         observer = Observer.full()
         system.workers = workers
-        system.backend = backend
         try:
             result = system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
                                   observer=observer)
         finally:
             system.workers = 1
-            system.backend = "thread"
             system.close_pool()
         return result, observer
 
@@ -300,11 +300,11 @@ class TestProcessBackendEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_process_matches_serial(self, system, serial_run, workers):
-        run = self._run(system, workers=workers, backend="process")
+        run = self._run(system, workers=workers)
         self._assert_identical(run, serial_run)
 
     def test_process_multi_shard_matches_serial(self, system, monkeypatch):
-        """A forced multi-shard plan on the process backend — every
+        """A forced multi-shard plan on the worker pool — every
         (learner, shard) task crosses the pipe separately and the score
         blocks are reassembled parent-side — must be output-invisible.
         The serial reference runs under the same shard plan, since the
@@ -316,8 +316,8 @@ class TestProcessBackendEquivalence:
         monkeypatch.setattr(
             matching, "shard_bounds",
             lambda n, **kwargs: shard_bounds(n, target=8, max_shards=4))
-        reference = self._run(system, workers=1, backend="serial")
-        run = self._run(system, workers=4, backend="process")
+        reference = self._run(system, workers=1)
+        run = self._run(system, workers=4)
         self._assert_identical(run, reference)
 
     def test_no_segment_leak_after_runs(self, system):

@@ -1,5 +1,5 @@
-"""Pipeline-level telemetry: exposition determinism across execution
-backends, per-worker resource reporting on the process pool, and the
+"""Pipeline-level telemetry: exposition determinism across worker
+counts, per-worker resource reporting on the process pool, and the
 progress events a real match emits."""
 
 import pytest
@@ -17,7 +17,7 @@ from .test_core_system import (GREATHOMES_LISTINGS, GREATHOMES_SCHEMA,
                                trained_system)
 
 #: Metric families whose values are a pure function of the input —
-#: identical at any worker count and on every backend. Timing
+#: identical at any worker count. Timing
 #: histograms, cache hit/miss counters (racy across workers), and the
 #: pool.*/proc.* resource families are deliberately absent.
 DETERMINISTIC = ("match.instances", "match.tags", "match.column_size",
@@ -29,16 +29,15 @@ def system():
     return trained_system()
 
 
-def _exposition(system, workers: int, backend: str) -> str:
+def _exposition(system, workers: int) -> str:
     system.workers = workers
-    system.backend = backend
     observer = Observer.full()
     try:
         system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
                      observer=observer)
     finally:
         system.close_pool()
-        system.workers, system.backend = 1, "thread"
+        system.workers = 1
     full = render_openmetrics(observer.metrics,
                               labels={"command": "match"})
     deterministic = {
@@ -51,11 +50,10 @@ def _exposition(system, workers: int, backend: str) -> str:
 class TestExpositionDeterminism:
     def test_byte_identical_across_worker_counts_and_backends(self,
                                                               system):
-        full_serial, baseline = _exposition(system, 1, "serial")
-        for workers, backend in ((4, "thread"), (4, "serial"),
-                                 (2, "process")):
-            _, lines = _exposition(system, workers, backend)
-            assert lines == baseline, (workers, backend)
+        full_serial, baseline = _exposition(system, 1)
+        for workers in (2, 4):
+            _, lines = _exposition(system, workers)
+            assert lines == baseline, workers
         assert baseline  # the filter actually selected families
         parse_openmetrics(full_serial)  # and the full text stays valid
 
@@ -64,14 +62,13 @@ class TestProcessPoolResources:
     def test_match_reports_per_worker_rss_cpu_and_queue_wait(self,
                                                              system):
         system.workers = 2
-        system.backend = "process"
         observer = Observer.full()
         try:
             system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
                          observer=observer)
         finally:
             system.close_pool()
-            system.workers, system.backend = 1, "thread"
+            system.workers = 1
         summary = observer.metrics.summary()
         rss = summary["histograms"][M_POOL_WORKER_RSS]
         cpu = summary["histograms"][M_POOL_WORKER_CPU]
@@ -83,17 +80,6 @@ class TestProcessPoolResources:
         tasks = summary["counters"][M_POOL_TASKS]
         assert tasks >= 1
         assert wait["count"] == tasks  # every dispatch measured a wait
-
-    def test_thread_backend_measures_queue_wait_too(self, system):
-        system.workers = 4
-        observer = Observer.full()
-        try:
-            system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
-                         observer=observer)
-        finally:
-            system.workers = 1
-        summary = observer.metrics.summary()
-        assert summary["histograms"][M_POOL_QUEUE_WAIT]["count"] >= 1
 
     def test_serial_run_has_no_pool_families(self, system):
         observer = Observer.full()
@@ -132,6 +118,7 @@ class TestMatchEvents:
                          observer=observer)
         finally:
             system.workers = 1
+            system.close_pool()
         events.close()
         shards = [e for e in events.events
                   if e["kind"] == "shard_complete"]
@@ -151,6 +138,7 @@ class TestMatchEvents:
                              observer=Observer.full(events=events))
             finally:
                 system.workers = 1
+                system.close_pool()
             events.close()
             return [{k: e[k] for k in ("label", "index", "shards",
                                        "rows", "stage")}

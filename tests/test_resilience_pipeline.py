@@ -43,6 +43,7 @@ def match_under(trained, policy, workers=1):
     finally:
         system.policy = None
         system.workers = 1
+        system.close_pool()
 
 
 def plan_of(*faults, seed=0):
@@ -113,6 +114,40 @@ class TestExecutorResilience:
         assert result.degradation.as_dict()["pool_failures"] == \
             ["predict"]
         baseline = match_under(trained, None)
+        assert dict(result.mapping.items()) == \
+            dict(baseline.mapping.items())
+
+
+def fill_shared_memory(monkeypatch):
+    """Make every worker-pool start fail the way a full ``/dev/shm``
+    does: the shared model segment cannot be allocated."""
+    from repro.core.shared_arrays import SharedArrayStore
+
+    def create(cls, arrays):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(SharedArrayStore, "create", classmethod(create))
+
+
+class TestPoolStartFailure:
+    def test_match_finishes_serially_and_records_it(self, trained,
+                                                     monkeypatch):
+        baseline = match_under(trained, None)
+        fill_shared_memory(monkeypatch)
+        result = match_under(trained, ResiliencePolicy(), workers=4)
+        assert result.degradation.as_dict()["pool_failures"] == \
+            ["pool.start"]
+        assert dict(result.mapping.items()) == \
+            dict(baseline.mapping.items())
+        for tag, row in baseline.tag_scores.items():
+            assert np.array_equal(result.tag_scores[tag], row)
+
+    def test_without_a_policy_the_match_still_finishes(self, trained,
+                                                       monkeypatch):
+        baseline = match_under(trained, None)
+        fill_shared_memory(monkeypatch)
+        result = match_under(trained, None, workers=4)
+        assert result.degradation is None
         assert dict(result.mapping.items()) == \
             dict(baseline.mapping.items())
 
@@ -303,6 +338,21 @@ class TestCliChaos:
         capsys.readouterr()
         validated = validate_file(str(report))
         assert "degradation" in validated
+
+    def test_pool_that_cannot_start_degrades_to_serial(
+            self, generated, model, tmp_path, capsys, monkeypatch):
+        code, serial_out, _ = self.run_match(generated, model, tmp_path,
+                                             1)
+        assert code == 0
+        capsys.readouterr()
+        fill_shared_memory(monkeypatch)
+        code, out, report = self.run_match(generated, model, tmp_path, 4)
+        assert code == 0
+        assert "pool fell back to serial: pool.start" in \
+            capsys.readouterr().err
+        assert out.read_text() == serial_out.read_text()
+        data = json.loads(report.read_text())
+        assert data["degradation"]["pool_failures"] == ["pool.start"]
 
     def test_clean_run_report_has_no_degradation_section(
             self, generated, model, tmp_path, capsys):
