@@ -175,6 +175,28 @@ class TestCliCrashResume:
         assert "resuming run" in resumed.stdout
         assert out.read_bytes() == baseline.read_bytes()
 
+    def test_sigkilled_parallel_run_leaves_no_process_behind(
+            self, cli_workspace, tmp_path):
+        # Every process the run forks (workers, the shared-memory
+        # resource tracker) inherits its stdout/stderr, so the pipes
+        # reach EOF only once the last of them has exited.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                   LSD_CHECKPOINT_CRASH="predict")
+        argv = _match_argv(cli_workspace, tmp_path / "mapping.txt",
+                           "--workers", "2",
+                           "--checkpoint-dir", str(tmp_path / "ck"))
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv], env=env,
+            cwd=REPO_ROOT, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            assert run.wait(timeout=300) == -signal.SIGKILL
+            run.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+            pytest.fail("processes of the killed run outlived it")
+
     def test_constraints_source_exists(self, cli_workspace):
         source = cli_workspace / "data" / "greathomes.com"
         assert (source / "schema.dtd").exists()
